@@ -472,6 +472,58 @@ mod tests {
     }
 
     #[test]
+    fn a_tick_that_frees_a_queue_slot_bumps_mutation_gen() {
+        // The contract: the generation moves on every mutation that can
+        // change a future enqueue outcome. A read's queue slot frees at
+        // CAS issue in the cycle model (serial or sharded) and at
+        // retirement in the fast one; either way, the tick-and-drain step
+        // that empties the queue must bump it, under both tick paths.
+        let read = MemRequest {
+            id: 0,
+            line_addr: 0,
+            kind: AccessKind::Read,
+            width: AccessWidth::Full,
+            origin: Origin::Demand { core: 0 },
+            arrival: 0,
+        };
+        for (kind, shards) in [
+            (BackendKind::Cycle, 1),
+            (BackendKind::Cycle, 2),
+            (BackendKind::Fast, 1),
+        ] {
+            for event in [false, true] {
+                let mut mem = new_backend_with_shards(
+                    kind,
+                    DramConfig::table2(),
+                    PowerParams::ddr4_1600(),
+                    shards,
+                );
+                mem.enqueue(read).unwrap();
+                let mut done = Vec::new();
+                let mut freed = false;
+                for _ in 0..1_000 {
+                    let gen = mem.mutation_gen();
+                    if event {
+                        mem.tick_event();
+                    } else {
+                        mem.tick();
+                    }
+                    mem.drain_completions_into(&mut done);
+                    if mem.queue_depths().iter().all(|&(reads, _)| reads == 0) {
+                        assert!(
+                            mem.mutation_gen() > gen,
+                            "{kind} x{shards} event={event}: slot freed without a bump"
+                        );
+                        freed = true;
+                        break;
+                    }
+                }
+                assert!(freed, "{kind} x{shards} event={event}: read never issued");
+            }
+        }
+    }
+
+    #[test]
     fn fast_backend_constructs_via_factory() {
         let mem = new_backend(
             BackendKind::Fast,

@@ -229,7 +229,9 @@ impl MemorySystem {
     pub fn tick(&mut self) {
         self.expire_derate();
         for ch in &mut self.channels {
-            ch.tick();
+            if ch.tick() {
+                self.mutation_gen += 1;
+            }
         }
     }
 
@@ -352,7 +354,8 @@ impl MemorySystem {
     }
 
     /// A counter bumped on every queue/bank state mutation (scheduler
-    /// work in [`tick_event`](Self::tick_event), or an accepted request).
+    /// work in [`tick`](Self::tick) or [`tick_event`](Self::tick_event),
+    /// or an accepted request).
     /// While it is unchanged, enqueue outcomes — and anything else that
     /// depends only on queue and bank state — are frozen. Burst
     /// retirement does not bump it: retiring frees no queue slot (slots

@@ -105,11 +105,14 @@ impl ChannelGroup {
     }
 
     /// One full cycle on every owned channel (cycle-engine path; bounds
-    /// untouched, exactly like the serial `MemorySystem::tick`).
-    fn tick(&mut self) {
+    /// untouched, exactly like the serial `MemorySystem::tick`). Returns
+    /// whether any scheduler acted.
+    fn tick(&mut self) -> bool {
+        let mut mutated = false;
         for ch in &mut self.channels {
-            ch.tick();
+            mutated |= ch.tick();
         }
+        mutated
     }
 
     /// One bound-gated cycle on every owned channel — the serial
@@ -270,7 +273,7 @@ fn worker_loop(mut group: ChannelGroup, rx: Receiver<Cmd>, tx: Sender<Reply>) {
             Op::ChaosPanic(msg) => panic!("{msg}"),
             Op::Advance { tick } => {
                 match tick {
-                    Some(TickKind::Cycle) => group.tick(),
+                    Some(TickKind::Cycle) => mutated = group.tick(),
                     Some(TickKind::Event) => mutated = group.tick_event(),
                     None => {}
                 }
@@ -614,10 +617,7 @@ impl ShardedMemory {
             }
         }
         let mutated = match kind {
-            TickKind::Cycle => {
-                inner.local.tick();
-                false
-            }
+            TickKind::Cycle => inner.local.tick(),
             TickKind::Event => inner.local.tick_event(),
         };
         if mutated {

@@ -84,6 +84,12 @@ impl MemoryBackend {
         self.regions[core].base
     }
 
+    /// The lines of core `i`'s region. Regions are disjoint.
+    pub fn core_lines(&self, core: usize) -> std::ops::Range<u64> {
+        let r = &self.regions[core];
+        r.base..r.base + r.lines
+    }
+
     /// The physical line address backing the compression metadata of
     /// `line` (one 64-byte metadata block covers 128 data blocks).
     pub fn metadata_line_of(&self, line: u64) -> u64 {

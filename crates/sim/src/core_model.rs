@@ -41,8 +41,19 @@ pub enum Slot {
         is_write: bool,
         /// Progress state.
         state: MemState,
+        /// Set when an issue attempt stalled, which implies the line was
+        /// absent from the LLC. While set, the issue pass and the event
+        /// engine's wake probe skip the LLC probe unless the core has
+        /// miss headroom. Only this core's own fill of `line` can make it
+        /// resident again (per-core footprints are disjoint and evictions
+        /// only remove lines), so [`Core::clear_known_miss`] at that fill
+        /// is the single invalidation point.
+        known_miss: bool,
     },
 }
+
+// The memo bit sits in the variant's padding: a slot stays 32 bytes.
+const _: () = assert!(std::mem::size_of::<Slot>() == 32);
 
 /// One simulated core.
 #[derive(Debug)]
@@ -136,6 +147,7 @@ impl Core {
                 line: self.base_line + ev.line_offset,
                 is_write: ev.is_write,
                 state: MemState::NeedIssue,
+                known_miss: false,
             });
             self.need_issue += 1;
             self.occupancy += 1;
@@ -191,6 +203,31 @@ impl Core {
         }
         self.issue_from = self.issue_from.saturating_sub(pops);
         width - budget
+    }
+
+    /// Forgets the known-miss memo of every un-issued slot for `line`:
+    /// called when this core fills `line` into the LLC. Bounded like the
+    /// issue pass, by [`issue_from`](Self::issue_from) and
+    /// [`need_issue`](Self::need_issue).
+    pub fn clear_known_miss(&mut self, line: u64) {
+        let mut remaining = self.need_issue;
+        for slot in self.rob.range_mut(self.issue_from..) {
+            if remaining == 0 {
+                break;
+            }
+            if let Slot::Mem {
+                line: l,
+                state: MemState::NeedIssue,
+                known_miss,
+                ..
+            } = slot
+            {
+                remaining -= 1;
+                if *l == line {
+                    *known_miss = false;
+                }
+            }
+        }
     }
 
     /// Marks every load waiting on transaction `txn` as ready, without
@@ -255,6 +292,7 @@ mod tests {
             line: 0,
             is_write: false,
             state: MemState::WaitMem(7),
+            known_miss: false,
         });
         c.rob.push_back(Slot::Gap { remaining: 8 });
         c.occupancy = 9;
@@ -271,6 +309,7 @@ mod tests {
             line: 0,
             is_write: true,
             state: MemState::WaitMem(3),
+            known_miss: false,
         });
         c.rob.push_back(Slot::Gap { remaining: 4 });
         c.occupancy = 5;
@@ -284,6 +323,7 @@ mod tests {
             line: 0,
             is_write: true,
             state: MemState::NeedIssue,
+            known_miss: false,
         });
         c.occupancy = 1;
         assert_eq!(c.retire(4), 0);
@@ -296,6 +336,7 @@ mod tests {
             line: 0,
             is_write: false,
             state: MemState::WaitLlc(20),
+            known_miss: false,
         });
         c.occupancy = 1;
         c.cpu_now = 19;

@@ -528,17 +528,16 @@ impl System {
             if let Slot::Mem {
                 line,
                 state: MemState::NeedIssue,
+                known_miss,
                 ..
             } = core.rob[idx]
             {
                 remaining -= 1;
                 // Headroom first: it is two integer compares, while the
                 // LLC probe walks a set's tags. Both are pure, so the
-                // short-circuit order is free to prefer the cheap one.
-                if (core.outstanding < core.max_outstanding
-                    && self.retry_q.len() < RETRY_CAP)
-                    || self.llc.probe_line(line)
-                {
+                // short-circuit order is free to prefer the cheap one. A
+                // known-miss slot skips the probe: its line is absent.
+                if self.has_miss_headroom(core) || (!known_miss && self.llc.probe_line(line)) {
                     return soon;
                 }
             }
@@ -749,10 +748,11 @@ impl System {
         // ROB order. The `need_issue` count and `issue_from` bound let the
         // walk start at the first un-issued slot and stop once all of them
         // have been visited — same slots, same order as a full scan. A
-        // pass in which every slot stalls mutates nothing (`issue_mem_op`
-        // returns `None` before touching any state), so while the stall
-        // snapshot still matches, the whole pass is skipped: it would
-        // provably stall identically.
+        // pass in which every slot stalls changes nothing but the slots'
+        // known-miss bits (`issue_mem_op` returns `None` before touching
+        // any state), and a repeat would set the same bits. So while the
+        // stall snapshot still matches, the whole pass is skipped: it
+        // would provably stall identically.
         if core.need_issue > 0
             && core.stall_env_gen == self.issue_env_gen
             && core.stall_outstanding == core.outstanding
@@ -771,6 +771,7 @@ impl System {
                     line,
                     is_write,
                     state,
+                    known_miss,
                 } = core.rob[idx]
                 else {
                     continue;
@@ -779,13 +780,30 @@ impl System {
                     continue;
                 }
                 remaining -= 1;
-                if let Some(new_state) = self.issue_mem_op(core, line, is_write) {
-                    if let Slot::Mem { state, .. } = &mut core.rob[idx] {
+                // A known-miss slot without miss headroom stalls exactly as
+                // `issue_mem_op` would, minus the LLC probe.
+                let issued = if known_miss && !self.has_miss_headroom(core) {
+                    debug_assert!(!self.llc.probe_line(line), "stale known-miss memo");
+                    None
+                } else {
+                    self.issue_mem_op(core, line, is_write)
+                };
+                let Slot::Mem {
+                    state, known_miss, ..
+                } = &mut core.rob[idx]
+                else {
+                    unreachable!("slot {idx} was a memory op");
+                };
+                match issued {
+                    Some(new_state) => {
                         *state = new_state;
+                        core.need_issue -= 1;
                     }
-                    core.need_issue -= 1;
-                } else if first_stalled.is_none() {
-                    first_stalled = Some(idx);
+                    None => {
+                        // A stall implies the probe missed.
+                        *known_miss = true;
+                        first_stalled.get_or_insert(idx);
+                    }
                 }
             }
             core.issue_from = first_stalled.unwrap_or(core.rob.len());
@@ -833,7 +851,7 @@ impl System {
 
         // LLC miss: need an MSHR (capped by the workload's MLP limit) and
         // memory-queue headroom.
-        if core.outstanding >= core.max_outstanding || self.retry_q.len() >= RETRY_CAP {
+        if !self.has_miss_headroom(core) {
             return None;
         }
         if is_write {
@@ -841,6 +859,15 @@ impl System {
         }
         let acc = self.llc.access_line(line, is_write);
         debug_assert!(!acc.hit);
+        // This fill is the only way a line becomes resident, so it is the
+        // known-miss memo's single invalidation point. The memo also relies
+        // on no other core ever filling this line: footprints are disjoint.
+        debug_assert!(
+            self.backend.core_lines(core.id).contains(&line),
+            "core {} filled line {line:#x} outside its region",
+            core.id
+        );
+        core.clear_known_miss(line);
         if let Some(victim) = acc.writeback {
             self.do_writeback(victim, core.id as u8);
         }
@@ -851,6 +878,12 @@ impl System {
         } else {
             MemState::WaitMem(txn_id)
         })
+    }
+
+    /// Whether `core` could start a new miss: a free MSHR and retry-queue
+    /// room.
+    fn has_miss_headroom(&self, core: &Core) -> bool {
+        core.outstanding < core.max_outstanding && self.retry_q.len() < RETRY_CAP
     }
 
     fn do_writeback(&mut self, victim_line: u64, core: u8) {
@@ -1111,6 +1144,93 @@ mod tests {
             speedup > 1.02,
             "ideal compression should beat baseline, got {speedup:.3}"
         );
+    }
+
+    /// A system whose core 0 holds exactly `lines` as un-issued loads
+    /// (padded to a full ROB so `fill_rob` adds nothing), with every MSHR
+    /// taken.
+    fn stalled_core0(lines: &[u64]) -> System {
+        let cfg = quick_cfg(MetadataStrategyKind::Baseline);
+        let mut sys = System::build(&cfg, &vec![Profile::stream(); cfg.core.cores], 1);
+        let core = &mut sys.cores[0];
+        core.rob.clear();
+        for &line in lines {
+            core.rob.push_back(Slot::Mem {
+                line,
+                is_write: false,
+                state: MemState::NeedIssue,
+                known_miss: false,
+            });
+        }
+        let pad = cfg.core.rob_size - lines.len() as u32;
+        core.rob.push_back(Slot::Gap { remaining: pad });
+        core.occupancy = cfg.core.rob_size;
+        core.need_issue = lines.len() as u32;
+        core.issue_from = 0;
+        core.outstanding = core.max_outstanding;
+        sys
+    }
+
+    fn cpu_cycle_core0(sys: &mut System) {
+        let mut cores = std::mem::take(&mut sys.cores);
+        sys.cpu_cycle(&mut cores[0]);
+        sys.cores = cores;
+    }
+
+    fn slot_state(sys: &System, idx: usize) -> (MemState, bool) {
+        match sys.cores[0].rob[idx] {
+            Slot::Mem {
+                state, known_miss, ..
+            } => (state, known_miss),
+            Slot::Gap { .. } => panic!("slot {idx} is a gap"),
+        }
+    }
+
+    #[test]
+    fn fill_clears_the_known_miss_memo_of_a_younger_same_line_slot() {
+        let line = 100;
+        let mut sys = stalled_core0(&[line, line]);
+        cpu_cycle_core0(&mut sys);
+        assert_eq!(slot_state(&sys, 0), (MemState::NeedIssue, true));
+        assert_eq!(slot_state(&sys, 1), (MemState::NeedIssue, true));
+
+        // One MSHR frees: the older slot misses and fills the line, which
+        // takes the MSHR again. The younger slot must not trust its memo:
+        // probed again, it hits the in-flight fill and piggybacks.
+        sys.cores[0].outstanding -= 1;
+        cpu_cycle_core0(&mut sys);
+        let (older, _) = slot_state(&sys, 0);
+        let MemState::WaitMem(txn) = older else {
+            panic!("older slot did not miss: {older:?}");
+        };
+        assert_eq!(slot_state(&sys, 1), (MemState::WaitMem(txn), false));
+        assert_eq!(sys.cores[0].need_issue, 0);
+        assert_eq!(sys.cores[0].outstanding, sys.cores[0].max_outstanding);
+        let waiters: Vec<_> = sys.txns[&txn].waiters.iter().collect();
+        assert_eq!(waiters, vec![(0, true), (0, false)]);
+    }
+
+    #[test]
+    fn fill_leaves_the_memo_of_other_lines_alone() {
+        let mut sys = stalled_core0(&[100, 200]);
+        cpu_cycle_core0(&mut sys);
+        sys.cores[0].outstanding -= 1;
+        cpu_cycle_core0(&mut sys);
+        assert!(matches!(slot_state(&sys, 0), (MemState::WaitMem(_), _)));
+        assert_eq!(slot_state(&sys, 1), (MemState::NeedIssue, true));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "outside its region")]
+    fn a_fill_outside_the_core_region_trips_the_memo_invariant() {
+        let mut sys = stalled_core0(&[0]);
+        let foreign = sys.backend.core_base(1);
+        if let Slot::Mem { line, .. } = &mut sys.cores[0].rob[0] {
+            *line = foreign;
+        }
+        sys.cores[0].outstanding = 0;
+        cpu_cycle_core0(&mut sys);
     }
 
     #[test]

@@ -181,17 +181,8 @@ cargo test -q -p attache-compress --release
 echo "=== compression equivalence: goldens with the memo disabled ==="
 ATTACHE_COMPRESS_MEMO=0 cargo test -q -p attache-sim --release --test golden_stats
 
-echo "=== cargo clippy (attache-compress) -- -D warnings ==="
-cargo clippy -p attache-compress --all-targets -- -D warnings
-
 echo "=== cargo clippy -- -D warnings ==="
 cargo clippy --workspace --all-targets -- -D warnings
-
-echo "=== cargo clippy (attache-testkit) -- -D warnings ==="
-cargo clippy -p attache-testkit --all-targets -- -D warnings
-
-echo "=== cargo clippy (attache-metrics) -- -D warnings ==="
-cargo clippy -p attache-metrics --all-targets -- -D warnings
 
 # Benchmark smoke: the reduced-tick bench pass appends a dated row to
 # results/BENCH_trajectory.tsv and refreshes BENCH_*.json, so every PR
